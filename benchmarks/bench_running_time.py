@@ -9,10 +9,13 @@ case needs more steps/time because the optimizer keeps spreading traffic over
 more lightly-congested links before giving up.
 
 This module additionally measures the compiled/incremental traffic-model
-engine (ISSUE 2) against the pre-compiled-engine baseline — the
-:class:`~repro.trafficmodel.waterfill.ReferenceTrafficModel` scoring every
-candidate move with a full rebuild — on the same scenario, and can write the
-result (including the optimizer trajectory) to ``BENCH_running_time.json``:
+engine against the pre-compiled-engine baseline — a full
+:func:`~repro.trafficmodel.waterfill.reference_evaluate` rebuild of every
+candidate move — on the same scenario and step budget.  The compiled
+optimizer runs first; the baseline then replays the candidates of each of
+its steps (enumerated with ``_candidate_moves``, as ``bench_scale.py`` does)
+and times their full rebuilds.  The result (including the optimizer
+trajectory) can be written to ``BENCH_running_time.json``:
 
     PYTHONPATH=src python -m benchmarks.bench_running_time \
         --num-pops 31 --max-steps 6 --output BENCH_running_time.json
@@ -34,10 +37,13 @@ from typing import Dict, Optional
 
 from benchmarks.conftest import BENCH_SEED, print_header, run_once
 from repro.core.optimizer import FubarOptimizer
+from repro.core.state import AllocationState, build_path_sets
+from repro.core.step import _candidate_moves, perform_step
 from repro.experiments.figures import run_running_time
 from repro.experiments.scenarios import provisioned_scenario
 from repro.metrics.reporting import format_table
-from repro.trafficmodel.waterfill import ReferenceTrafficModel
+from repro.paths.generator import PathGenerator
+from repro.trafficmodel.waterfill import TrafficModel, reference_evaluate
 
 #: Default location of the running-time benchmark record (repo root).
 BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_running_time.json"
@@ -50,37 +56,87 @@ BENCH_SCHEMA = 1
 DRIFT_RTOL = 1e-6
 
 
-def _run_engine(scenario, use_incremental: bool, max_steps: Optional[int]) -> Dict:
-    """Run FUBAR on *scenario* with one engine and return its measurements."""
-    config = replace(
-        scenario.fubar_config,
-        max_steps=max_steps,
-        use_incremental_model=use_incremental,
-    )
-    traffic_model = (
-        None if use_incremental else ReferenceTrafficModel(scenario.network)
-    )
-    optimizer = FubarOptimizer(
-        scenario.network,
-        scenario.traffic_matrix,
-        config=config,
-        traffic_model=traffic_model,
-    )
-    started = time.perf_counter()
-    result = optimizer.run()
-    wall = time.perf_counter() - started
-    evaluations = result.model_evaluations
+def _timing(engine: str, wall: float, steps: int, evaluations: int) -> Dict:
     return {
-        "engine": "compiled-incremental" if use_incremental else "reference-full",
+        "engine": engine,
         "wall_clock_s": wall,
-        "steps": result.num_steps,
+        "steps": steps,
         "model_evaluations": evaluations,
         "ms_per_evaluation": wall / evaluations * 1e3 if evaluations else None,
         "evaluations_per_s": evaluations / wall if wall > 0 else None,
-        "final_utility": result.network_utility,
-        "termination": result.termination_reason,
-        "trajectory": [point.as_dict() for point in result.trace],
     }
+
+
+def _run_compiled(scenario, max_steps: Optional[int]) -> Dict:
+    """Run FUBAR on *scenario* (batched incremental scoring) and time it."""
+    config = replace(scenario.fubar_config, max_steps=max_steps)
+    optimizer = FubarOptimizer(scenario.network, scenario.traffic_matrix, config=config)
+    started = time.perf_counter()
+    result = optimizer.run()
+    wall = time.perf_counter() - started
+    record = _timing(
+        "compiled-incremental", wall, result.num_steps, result.model_evaluations
+    )
+    record.update(
+        final_utility=result.network_utility,
+        termination=result.termination_reason,
+        trajectory=[point.as_dict() for point in result.trace],
+    )
+    return record
+
+
+def _replay_reference(scenario, max_steps: Optional[int]) -> Dict:
+    """Time a full reference rebuild of every candidate the compiled run scores.
+
+    Re-drives the optimizer loop (Listing 1) through ``perform_step``, so
+    the trajectory is the compiled run's.  Before each step, every candidate
+    move it is about to score is rebuilt as a whole bundle list and
+    evaluated with ``reference_evaluate`` (waterfill plus utility roll-up);
+    only those rebuilds are timed.
+    """
+    network = scenario.network
+    config = replace(scenario.fubar_config, max_steps=max_steps)
+    weights = config.priority_weights
+    generator = PathGenerator(network)
+    model = TrafficModel(network)
+    state = AllocationState.initial(network, scenario.traffic_matrix, generator)
+    path_sets = build_path_sets(network, state)
+    result = model.evaluate(state.bundles())
+    wall = 0.0
+    steps = evaluations = level = 0
+    while result.has_congestion and (max_steps is None or steps < max_steps):
+        progress = False
+        for link_id in result.congested_links_by_oversubscription():
+            moves = [
+                (bundle.aggregate_key, bundle.path, candidate, num_to_move)
+                for bundle, candidate, num_to_move in _candidate_moves(
+                    link_id, state, path_sets, generator, config, result, level
+                )
+            ]
+            started = time.perf_counter()
+            for move in moves:
+                trial = state.with_move(*move)
+                reference_evaluate(network, trial.bundles()).network_utility(weights)
+            wall += time.perf_counter() - started
+            evaluations += len(moves)
+            step = perform_step(
+                link_id, state, path_sets, model, generator, config, result, level
+            )
+            if step.progress:
+                state, result = step.state, step.result
+                steps += 1
+                progress = True
+                break
+        if progress:
+            level = 0
+        elif level >= config.max_escalation_level:
+            break
+        else:
+            level += 1
+    record = _timing("reference-full", wall, steps, evaluations)
+    final = reference_evaluate(network, state.bundles())
+    record["final_utility"] = final.network_utility()
+    return record
 
 
 def measure_incremental_speedup(
@@ -90,19 +146,23 @@ def measure_incremental_speedup(
 ) -> Dict:
     """Compare the compiled engine against the reference baseline.
 
-    Runs the provisioned scenario twice with an identical step budget — once
-    scoring candidates through the full reference rebuild, once through the
-    incremental delta path — and reports per-evaluation timings, the speedup,
-    and a single-evaluation microbenchmark.
+    Runs the provisioned scenario with the optimizer's batched incremental
+    scoring, then replays the candidates of its steps through full
+    reference rebuilds under the same step budget, and reports
+    per-evaluation timings, the speedup, and a single-evaluation
+    microbenchmark.
     """
     scenario = provisioned_scenario(seed=seed, **scenario_kwargs)
-    baseline = _run_engine(scenario, use_incremental=False, max_steps=max_steps)
-    compiled = _run_engine(scenario, use_incremental=True, max_steps=max_steps)
+    compiled = _run_compiled(scenario, max_steps)
+    baseline = _replay_reference(scenario, max_steps)
+    if baseline["steps"] != compiled["steps"]:
+        raise RuntimeError(
+            f"reference replay took {baseline['steps']} steps, the compiled "
+            f"run {compiled['steps']}"
+        )
 
     # Single-evaluation microbenchmark (shortest-path allocation).
-    from repro.core.state import AllocationState
     from repro.trafficmodel.compiled import CompiledTrafficModel
-    from repro.trafficmodel.waterfill import reference_evaluate
 
     state = AllocationState.initial(scenario.network, scenario.traffic_matrix)
     bundles = state.bundles()
@@ -117,7 +177,7 @@ def measure_incremental_speedup(
     compiled_result = engine.evaluate(bundles)
     compiled_eval_ms = (time.perf_counter() - started) * 1e3
 
-    compiled_base = engine.compile(bundles)
+    base = engine.compile(bundles)
     sample = bundles[0]
     patch = {
         (sample.aggregate_key, sample.path): sample.with_num_flows(
@@ -125,7 +185,7 @@ def measure_incremental_speedup(
         )
     }
     started = time.perf_counter()
-    patched = engine.compile_patched(compiled_base, patch)
+    patched = engine.compile_patched(base, patch)
     solution = engine.solve(patched)
     engine.weighted_utility(patched, solution.rates)
     patched_eval_ms = (time.perf_counter() - started) * 1e3
@@ -182,7 +242,7 @@ def _assert_no_drift(record: Dict) -> None:
     assert abs(
         drift["final_utility_reference"] - drift["final_utility_compiled"]
     ) <= 1e-3 * max(abs(drift["final_utility_reference"]), 1e-12), (
-        "engines converged to different utilities under the same step budget"
+        "the engines disagree on the utility of the final allocation"
     )
 
 

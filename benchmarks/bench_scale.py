@@ -2,15 +2,16 @@
 
 The optimizer's inner loop scores every candidate move of a congested link;
 at internet scale that scoring dominates wall clock.  This benchmark builds
-the hot-path workload exactly as :func:`repro.core.step._best_move_incremental`
-does — one compiled base, one ``move_delta`` patch per candidate — and times
-the two scoring paths against each other on tiered hierarchical topologies
-of increasing size:
+the hot-path workload exactly as :func:`repro.core.step.perform_step` does —
+the compiled base carried by the current result, one ``move_delta`` patch
+per candidate — and times two ways of scoring it on tiered hierarchical
+topologies of increasing size:
 
 * **per-move** — ``compile_patched`` + ``solve`` + ``weighted_utility`` per
-  candidate (the ``use_batched_scorer=False`` branch), and
+  candidate, one standalone solve each, and
 * **batched** — one :class:`~repro.trafficmodel.compiled.BatchedCandidateScorer`
-  scoring the same candidates through stacked ``solve_batched`` calls.
+  (the optimizer's scoring path) scoring the same candidates through stacked
+  ``solve_batched`` calls.
 
 The two paths are *bitwise* equivalent (see
 ``tests/test_batched_scorer.py``), so the benchmark hard-fails on any score
@@ -64,9 +65,10 @@ def build_scoring_workload(
 ) -> Dict:
     """The hot-path inputs of one optimizer step on a tiered topology.
 
-    Mirrors ``_best_move_incremental``: evaluate the initial allocation,
-    take the most congested link, enumerate its candidate moves, and turn
-    each into the ``move_delta`` patch the scorer consumes.
+    Mirrors ``perform_step``: evaluate the initial allocation, take the
+    most congested link, enumerate its candidate moves, and turn each into
+    the ``move_delta`` patch the scorer applies to the result's compiled
+    base.
     """
     scenario = build_tiered_scenario(
         size=size, num_nodes=num_nodes, seed=seed, max_steps=6
@@ -101,13 +103,12 @@ def build_scoring_workload(
             f"tiered scenario ({num_nodes} nodes, seed {seed}) yields no "
             "candidate moves on any congested link; pick a different seed"
         )
-    engine = model.engine
     return {
         "scenario": scenario,
         "network": network,
         "config": config,
-        "engine": engine,
-        "compiled_base": engine.compile(state.bundles()),
+        "engine": model.engine,
+        "base": result.compiled,
         "deltas": deltas,
         "link_id": link_id,
     }
@@ -115,7 +116,7 @@ def build_scoring_workload(
 
 def _score_per_move(workload: Dict) -> List[float]:
     engine = workload["engine"]
-    base = workload["compiled_base"]
+    base = workload["base"]
     weights = workload["config"].priority_weights
     scores: List[float] = []
     for delta in workload["deltas"]:
@@ -128,7 +129,7 @@ def _score_per_move(workload: Dict) -> List[float]:
 def _score_batched(workload: Dict) -> List[float]:
     scorer = BatchedCandidateScorer(
         workload["engine"],
-        workload["compiled_base"],
+        workload["base"],
         workload["config"].priority_weights,
     )
     return scorer.score(workload["deltas"])

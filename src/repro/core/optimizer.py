@@ -183,13 +183,8 @@ class FubarOptimizer:
                 break
 
             progress = False
-            # Compile the current allocation once and share it across every
-            # congested link this iteration visits; candidate moves patch it.
-            compiled_base = (
-                self.model.engine.compile(state.bundles())
-                if config.use_incremental_model
-                else None
-            )
+            # Every congested link visited this iteration patches the
+            # compiled arrays carried by ``result``.
             for link_id in result.congested_links_by_oversubscription():
                 step_result = perform_step(
                     link_id,
@@ -200,15 +195,13 @@ class FubarOptimizer:
                     config,
                     result,
                     escalation_level,
-                    compiled_base=compiled_base,
                 )
                 if step_result.progress:
                     state = step_result.state
                     result = step_result.result
                     step_count += 1
                     progress = True
-                    if config.record_every_step:
-                        recorder.record(step_count, result, step_result.describe())
+                    recorder.record(step_count, result, step_result.describe())
                     break
 
             if progress:

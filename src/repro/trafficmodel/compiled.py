@@ -34,9 +34,10 @@ bundle.  This module removes both costs:
   every candidate move of an optimization step in a handful of stacked
   solves;
 * :meth:`CompiledTrafficModel.weighted_utility` scores a solution without
-  constructing any result objects, vectorizing the flow-weighted utility
-  roll-up over cached per-path delay factors and grouped bandwidth
-  components.
+  constructing any result objects, through the vectorized flow-weighted
+  utility roll-up of :class:`CompiledBundles` (cached per-path delay
+  factors times grouped bandwidth components) — the same roll-up every
+  :class:`~repro.trafficmodel.result.TrafficModelResult` reports.
 
 The engine is semantically equivalent to ``reference_evaluate`` (same event
 ordering rules, same satisfaction/saturation tolerances); the equivalence is
@@ -240,6 +241,47 @@ class CompiledBundles:
                 self._flat_links = np.zeros(0, dtype=np.intp)
                 self._link_counts = np.zeros(0, dtype=np.intp)
         return self._flat_links, self._link_counts
+
+    # --------------------------------------------------------------- utility
+
+    def utility_by_aggregate(self, rates: np.ndarray) -> np.ndarray:
+        """Flow-weighted utility of every aggregate id under per-bundle *rates*.
+
+        The one utility roll-up, shared by candidate scoring and results.
+        A bundle's utility is the bandwidth curve at its per-flow rate times
+        the cached per-path delay factor; an aggregate's is the flow-weighted
+        mean over its bundles, clamped to 1 (0 for aggregates patched away).
+        Bundles are grouped by aggregate key, so keys are assumed unique
+        per aggregate, as in any state derived from a traffic matrix.
+        """
+        per_flow = rates / self.flows
+        utilities = np.empty(len(self), dtype=float)
+        comp_ids = self.comp_ids
+        for comp_id, component in enumerate(self.components):
+            mask = comp_ids == comp_id
+            curve = component.curve
+            utilities[mask] = np.interp(per_flow[mask], curve.xs, curve.ys)
+        utilities *= self.delay_factors
+
+        weighted = np.bincount(
+            self.agg_ids, weights=utilities * self.flows, minlength=len(self.aggregates)
+        )
+        agg_flows = self.agg_flows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            agg_utilities = np.where(agg_flows > 0.0, weighted / agg_flows, 0.0)
+        return np.minimum(agg_utilities, 1.0)
+
+    def weighted_network_utility(
+        self, agg_utilities: np.ndarray, weights: Optional[PriorityWeights] = None
+    ) -> float:
+        """The paper's "total average": per-aggregate utilities (indexed by
+        aggregate id) averaged with flow counts times class priority weights."""
+        weights = weights or PriorityWeights.uniform()
+        class_weights = np.asarray(
+            [weights.weight_for(name) for name in self.class_names], dtype=float
+        )
+        agg_weights = self.agg_flows * class_weights[self.agg_class_ids]
+        return float(np.dot(agg_weights, agg_utilities) / agg_weights.sum())
 
 
 def _spliced_flat_links(
@@ -755,8 +797,8 @@ class CompiledTrafficModel:
         ``np.add.reduceat`` load sums and the per-index ``bincount`` frozen
         folds each see exactly the operand groupings a standalone one-block
         solve would, no matter which blocks share the batch.  The fast
-        candidate scorer therefore provably selects the same move as the
-        per-move path (tests/test_batched_scorer.py).
+        candidate scorer therefore scores every candidate exactly as a
+        standalone ``solve`` of it would (tests/test_batched_scorer.py).
 
         Counts ``len(blocks)`` evaluations.  ``capacities`` overrides the
         engine's per-link capacity vector for every block of this batch.
@@ -1228,39 +1270,17 @@ class CompiledTrafficModel:
     ) -> float:
         """The weighted network utility of a solution, without result objects.
 
-        Vectorizes exactly the roll-up
-        :meth:`~repro.trafficmodel.result.TrafficModelResult.network_utility`
-        performs: per-flow bandwidth utility times the cached per-path delay
-        factor, flow-weighted per aggregate (clamped to 1), then averaged with
-        priority weights.  Assumes aggregate keys are unique within the
-        bundle list, as they are in any state derived from a traffic matrix.
+        Runs the roll-up a :class:`~repro.trafficmodel.result.TrafficModelResult`
+        reports (:meth:`CompiledBundles.utility_by_aggregate` then
+        :meth:`CompiledBundles.weighted_network_utility`), so a result's
+        ``network_utility`` equals this score of its own compiled arrays
+        bit for bit.
         """
         if len(compiled) == 0:
             raise TrafficModelError("cannot score an empty bundle list")
-        weights = weights or PriorityWeights.uniform()
-        per_flow = rates / compiled.flows
-        utilities = np.empty(len(compiled), dtype=float)
-        comp_ids = compiled.comp_ids
-        for comp_id, component in enumerate(compiled.components):
-            mask = comp_ids == comp_id
-            curve = component.curve
-            utilities[mask] = np.interp(per_flow[mask], curve.xs, curve.ys)
-        utilities *= compiled.delay_factors
-
-        num_aggs = len(compiled.aggregates)
-        weighted = np.bincount(
-            compiled.agg_ids, weights=utilities * compiled.flows, minlength=num_aggs
+        return compiled.weighted_network_utility(
+            compiled.utility_by_aggregate(rates), weights
         )
-        agg_flows = compiled.agg_flows
-        with np.errstate(divide="ignore", invalid="ignore"):
-            agg_utilities = np.where(agg_flows > 0.0, weighted / agg_flows, 0.0)
-        agg_utilities = np.minimum(agg_utilities, 1.0)
-
-        class_weights = np.asarray(
-            [weights.weight_for(name) for name in compiled.class_names], dtype=float
-        )
-        agg_weights = agg_flows * class_weights[compiled.agg_class_ids]
-        return float(np.dot(agg_weights, agg_utilities) / agg_weights.sum())
 
     # -------------------------------------------------------------- assembly
 
@@ -1296,7 +1316,9 @@ class CompiledTrafficModel:
                     ),
                 )
             )
-        return TrafficModelResult(network, outcomes, link_loads, link_demands)
+        return TrafficModelResult(
+            network, outcomes, link_loads, link_demands, compiled, rates
+        )
 
     # ------------------------------------------------------------ evaluation
 
@@ -1350,13 +1372,13 @@ def _adaptive_batch_size(num_links: int) -> int:
 class BatchedCandidateScorer:
     """Scores candidate patches of one compiled base through stacked solves.
 
-    The per-move scoring path compiles and solves one candidate at a time;
-    at scale the per-solve fixed costs dominate the optimizer.  This scorer
-    compiles each candidate patch (cheap — O(changed rows)) and solves whole
-    batches through :meth:`CompiledTrafficModel.solve_batched`, whose
-    block-scoped arithmetic makes every score *bitwise* equal to the
-    per-move path — the optimizer selects the same move either way, which
-    tests/test_batched_scorer.py enforces move-for-move.
+    This is the optimizer's one move-scoring path.  Solving candidates one
+    at a time would let the per-solve fixed costs dominate at scale, so the
+    scorer compiles each candidate patch (cheap — O(changed rows)) and
+    solves whole batches through :meth:`CompiledTrafficModel.solve_batched`,
+    whose block-scoped arithmetic makes every score *bitwise* equal to a
+    standalone ``compile_patched`` + ``solve`` + ``weighted_utility`` of the
+    same candidate (tests/test_batched_scorer.py).
 
     Candidates are patches of one shared base, so the scorer also solves the
     base once and warm-seeds every candidate block's initial crossing times

@@ -3,27 +3,26 @@
 A :class:`TrafficModelResult` bundles everything the optimizer and the
 metrics code need from one run of the progressive-filling model: per-bundle
 achieved rates, per-link loads and demands, the set of congested links, and
-utility roll-ups (per aggregate, per class, network-wide).
+utility roll-ups (per aggregate, per class, network-wide).  The roll-ups are
+computed once per result, through the compiled arrays the result was solved
+from — the same arithmetic the optimizer scores candidate moves with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import TrafficModelError
+from repro.exceptions import TrafficModelError, UtilityError
 from repro.topology.graph import LinkId, Network
 from repro.traffic.aggregate import AggregateKey
 from repro.trafficmodel.bundle import Bundle
-from repro.utility.aggregation import (
-    AggregateUtility,
-    PriorityWeights,
-    class_utility,
-    network_utility,
-    per_class_utilities,
-)
+from repro.utility.aggregation import AggregateUtility, PriorityWeights
+
+if TYPE_CHECKING:
+    from repro.trafficmodel.compiled import CompiledBundles
 
 #: Relative tolerance used when deciding whether a link is saturated.
 SATURATION_TOLERANCE = 1e-6
@@ -49,8 +48,53 @@ class BundleOutcome:
         return max(self.bundle.total_demand_bps - self.rate_bps, 0.0)
 
 
+class _UtilityRollup:
+    """Aggregate, class and per-aggregate-id utilities of one result."""
+
+    __slots__ = ("by_id", "aggregates", "per_class")
+
+    def __init__(self, compiled: "CompiledBundles", rates: np.ndarray) -> None:
+        by_id = compiled.utility_by_aggregate(rates)
+        # Report aggregates in the order their first bundle appears; ids of
+        # aggregates patched away (no bundles left) drop out here.
+        ids, first = np.unique(compiled.agg_ids, return_index=True)
+        order = ids[np.argsort(first, kind="stable")]
+        utilities = by_id[order]
+        flows = compiled.agg_flows[order]
+        class_ids = compiled.agg_class_ids[order]
+        self.by_id = by_id
+        self.aggregates = tuple(
+            AggregateUtility(
+                aggregate_key=compiled.aggregates[agg_id].key,
+                utility=float(utility),
+                num_flows=int(num_flows),
+                traffic_class=compiled.aggregates[agg_id].traffic_class,
+            )
+            for agg_id, utility, num_flows in zip(order.tolist(), utilities, flows)
+        )
+        # Flow-weighted class means; bincount sums each class in aggregate
+        # order, exactly as the scalar helpers in repro.utility.aggregation.
+        num_classes = len(compiled.class_names)
+        numerators = np.bincount(
+            class_ids, weights=flows * utilities, minlength=num_classes
+        )
+        denominators = np.bincount(class_ids, weights=flows, minlength=num_classes)
+        self.per_class = {
+            name: float(numerators[class_id] / denominators[class_id])
+            for class_id, name in sorted(
+                enumerate(compiled.class_names), key=lambda item: item[1]
+            )
+            if denominators[class_id] > 0.0
+        }
+
+
 class TrafficModelResult:
-    """Everything produced by one evaluation of the traffic model."""
+    """Everything produced by one evaluation of the traffic model.
+
+    ``compiled`` and ``rates`` are the compiled bundle list and per-bundle
+    rates the result was solved from (in outcome order); the optimizer
+    patches ``compiled`` to score the next step's candidate moves.
+    """
 
     def __init__(
         self,
@@ -58,6 +102,8 @@ class TrafficModelResult:
         outcomes: Sequence[BundleOutcome],
         link_loads_bps: np.ndarray,
         link_demands_bps: np.ndarray,
+        compiled: "CompiledBundles",
+        rates: np.ndarray,
     ) -> None:
         if link_loads_bps.shape != (network.num_links,):
             raise TrafficModelError(
@@ -73,27 +119,32 @@ class TrafficModelResult:
         self.outcomes: Tuple[BundleOutcome, ...] = tuple(outcomes)
         self.link_loads_bps = link_loads_bps
         self.link_demands_bps = link_demands_bps
+        if len(compiled) != len(self.outcomes) or rates.shape != (len(self.outcomes),):
+            raise TrafficModelError(
+                f"compiled arrays cover {len(compiled)} bundles and {rates.shape} "
+                f"rates, expected {len(self.outcomes)}"
+            )
+        self.compiled = compiled
+        self.rates = rates
         self._capacities = np.asarray(network.capacities(), dtype=float)
         self._congested: Optional[Tuple[LinkId, ...]] = None
         self._by_aggregate: Optional[Dict[AggregateKey, List[BundleOutcome]]] = None
+        self._rollup: Optional[_UtilityRollup] = None
 
     # ------------------------------------------------------------- congestion
 
     def _compute_congested(self) -> Tuple[LinkId, ...]:
         saturated = self.link_loads_bps >= self._capacities * (1.0 - SATURATION_TOLERANCE)
-        congested: List[LinkId] = []
-        for link in self.network.links:
-            if not saturated[link.index]:
-                continue
-            # A saturated link is only *congested* if it actually truncates
-            # some bundle's demand (paper §2.3).
-            truncates = any(
-                not outcome.satisfied and outcome.bottleneck_link == link.link_id
-                for outcome in self.outcomes
-            )
-            if truncates:
-                congested.append(link.link_id)
-        return tuple(congested)
+        # A saturated link is only *congested* if it actually truncates some
+        # bundle's demand (paper §2.3).
+        bottlenecks = {
+            outcome.bottleneck_link for outcome in self.outcomes if not outcome.satisfied
+        }
+        return tuple(
+            link.link_id
+            for link in self.network.links
+            if saturated[link.index] and link.link_id in bottlenecks
+        )
 
     @property
     def congested_links(self) -> Tuple[LinkId, ...]:
@@ -164,40 +215,40 @@ class TrafficModelResult:
 
         A bundle's utility is the utility of one of its flows: the bandwidth
         component evaluated at the per-flow rate times the delay component
-        evaluated at the bundle's path delay.
+        evaluated at the bundle's path delay.  Aggregates are listed in the
+        order their first bundle appears.
+
+        This is the result's single utility roll-up: the first call runs
+        :meth:`~repro.trafficmodel.compiled.CompiledBundles.utility_by_aggregate`
+        and memoizes aggregate, class and network inputs, which every other
+        utility accessor then reads.
         """
-        utilities: List[AggregateUtility] = []
-        for key, outcomes in self.outcomes_by_aggregate().items():
-            aggregate = outcomes[0].bundle.aggregate
-            total_flows = sum(outcome.bundle.num_flows for outcome in outcomes)
-            weighted = 0.0
-            for outcome in outcomes:
-                utility = aggregate.utility(
-                    outcome.per_flow_rate_bps,
-                    outcome.bundle.path_delay(self.network),
-                )
-                weighted += outcome.bundle.num_flows * utility
-            utilities.append(
-                AggregateUtility(
-                    aggregate_key=key,
-                    utility=min(weighted / total_flows, 1.0),
-                    num_flows=total_flows,
-                    traffic_class=aggregate.traffic_class,
-                )
-            )
-        return utilities
+        if self._rollup is None:
+            self._rollup = _UtilityRollup(self.compiled, self.rates)
+        return list(self._rollup.aggregates)
+
+    def _utilities(self) -> _UtilityRollup:
+        """The memoized roll-up, built through :meth:`aggregate_utilities` so
+        a profiler attributes all roll-up time to that one public method."""
+        if self._rollup is None:
+            self.aggregate_utilities()
+        assert self._rollup is not None
+        return self._rollup
 
     def network_utility(self, weights: Optional[PriorityWeights] = None) -> float:
         """The paper's "total average" utility (optionally priority-weighted)."""
-        return network_utility(self.aggregate_utilities(), weights)
+        rollup = self._utilities()
+        if not rollup.aggregates:
+            raise UtilityError("cannot aggregate an empty utility list")
+        return self.compiled.weighted_network_utility(rollup.by_id, weights)
 
     def class_utility(self, traffic_class: str) -> Optional[float]:
         """Flow-weighted utility of one traffic class (e.g. the large flows)."""
-        return class_utility(self.aggregate_utilities(), traffic_class)
+        return self._utilities().per_class.get(traffic_class)
 
     def per_class_utilities(self) -> Dict[str, float]:
-        """Flow-weighted utility of every class present."""
-        return per_class_utilities(self.aggregate_utilities())
+        """Flow-weighted utility of every class present, keyed in name order."""
+        return dict(self._utilities().per_class)
 
     # ----------------------------------------------------------- utilization
 

@@ -16,7 +16,8 @@ Two implementations live side by side:
   the next link saturates, advances every active bundle by that time, and
   freezes whatever the event stopped: at most (#bundles + #links) events.
   It rebuilds everything from the network graph on each call and is kept as
-  the ground truth the fast engine is tested against.
+  the ground truth the fast engine is tested and benchmarked against; only
+  its result's utility roll-up is shared with the engine.
 * :class:`~repro.trafficmodel.compiled.CompiledTrafficModel` — the
   compiled/incremental engine the optimizer actually runs.  It caches
   per-(aggregate, path) rows, patches only the rows a candidate move changes,
@@ -87,14 +88,21 @@ def reference_evaluate(
     compiled engine (:mod:`repro.trafficmodel.compiled`) must agree with this
     function; the equivalence suite enforces it.
     """
+    from repro.trafficmodel.compiled import CompiledTrafficModel
+
     config = config or TrafficModelConfig()
     num_links = network.num_links
     num_bundles = len(bundles)
     capacities = np.asarray(network.capacities(), dtype=float)
+    # The result's utility roll-up reads compiled arrays; the waterfill
+    # below never does.
+    compiled = CompiledTrafficModel(network, config).compile(bundles)
 
     if num_bundles == 0:
         zeros = np.zeros(num_links, dtype=float)
-        return TrafficModelResult(network, [], zeros, zeros.copy())
+        return TrafficModelResult(
+            network, [], zeros, zeros.copy(), compiled, np.zeros(0, dtype=float)
+        )
 
     demands = np.empty(num_bundles, dtype=float)
     growth = np.empty(num_bundles, dtype=float)
@@ -189,7 +197,9 @@ def reference_evaluate(
                 bottleneck_link=None if satisfied else bottleneck[j],
             )
         )
-    return TrafficModelResult(network, outcomes, link_loads, link_demands)
+    return TrafficModelResult(
+        network, outcomes, link_loads, link_demands, compiled, rates
+    )
 
 
 class TrafficModel:
@@ -236,20 +246,6 @@ class TrafficModel:
     def evaluate(self, bundles: Sequence[Bundle]) -> TrafficModelResult:
         """Run the progressive-filling model and return its result."""
         return self.engine.evaluate(bundles)
-
-
-class ReferenceTrafficModel(TrafficModel):
-    """A :class:`TrafficModel` that runs the unoptimized reference loop.
-
-    Used by the running-time benchmarks to measure the pre-compiled-engine
-    baseline, and by the equivalence suite as ground truth.  The evaluation
-    counter is shared with the (unused) compiled engine so the bookkeeping
-    stays identical.
-    """
-
-    def evaluate(self, bundles: Sequence[Bundle]) -> TrafficModelResult:
-        self.evaluations += 1
-        return reference_evaluate(self.network, bundles, self.config)
 
 
 def evaluate_bundles(

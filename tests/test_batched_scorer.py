@@ -1,9 +1,10 @@
-"""Equivalence suite: BatchedCandidateScorer vs the per-move scoring path.
+"""Equivalence suite: BatchedCandidateScorer, the optimizer's one scoring path.
 
-The batched scorer only counts if it is *bitwise* interchangeable with the
-per-move ``compile_patched`` + ``solve`` + ``weighted_utility`` loop — the
-optimizer must select the identical move with the identical utility either
-way.  This suite locks that in three layers:
+The batched scorer only counts if it is *bitwise* interchangeable with
+scoring each candidate alone (``compile_patched`` + ``solve`` +
+``weighted_utility``), and if the moves it commits are the ones a full
+rebuild of every candidate would pick.  This suite locks that in three
+layers:
 
 1. ``solve`` vs ``solve_batched`` — rates and bottleneck attribution of a
    block solved alone equal those of the same block inside any batch,
@@ -11,22 +12,19 @@ way.  This suite locks that in three layers:
    times (the full-vs-delta solve agreement on the stacked tensor).
 2. Scores — ``BatchedCandidateScorer.score`` equals per-move scores exactly
    (drift 0, not within a tolerance) on HE-31, Abilene and tiered seeds.
-3. Moves — ``_best_move_incremental`` returns the identical chosen move and
-   utility with ``use_batched_scorer`` on and off, and whole optimizer runs
-   converge identically.
+3. Moves — at each of the first optimizer steps, the committed move is the
+   argmax of a full ``engine.evaluate`` rebuild of every candidate (the
+   full-rebuild scorer lives here as the oracle), and every batched score
+   is within 1e-12 of its rebuilt utility.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.core.config import FubarConfig
-from repro.core.optimizer import FubarOptimizer
 from repro.core.state import AllocationState, build_path_sets
-from repro.core.step import _candidate_moves
+from repro.core.step import _candidate_moves, perform_step
 from repro.experiments.scenarios import build_paper_scenario, build_sweep_scenario
 from repro.experiments.tiered import build_tiered_scenario
 from repro.paths.generator import PathGenerator
@@ -192,31 +190,91 @@ def test_adaptive_batch_size_bounds():
     assert _adaptive_batch_size(2048) == 16  # in between
 
 
-# ------------------------------------------------- identical chosen moves
+# ------------------------------------- committed moves vs a full rebuild
+
+#: Committed optimizer steps checked per scenario.
+ORACLE_STEPS = 4
+
+#: Largest allowed gap between a batched score and its full-rebuild utility.
+ORACLE_TOL = 1e-12
+
+
+def _full_rebuild_best_move(
+    engine, state, path_sets, generator, config, result, link_id, level
+):
+    """The full-rebuild scorer: evaluate every candidate's moved state from
+    scratch and keep the strict argmax above the improvement threshold.
+
+    Returns ``(best move or None, [(move, rebuilt utility), ...])``.
+    """
+    weights = config.priority_weights
+    best_utility = result.network_utility(weights) + config.min_utility_improvement
+    best = None
+    scored = []
+    for bundle, candidate, num_to_move in _candidate_moves(
+        link_id, state, path_sets, generator, config, result, level
+    ):
+        move = (bundle.aggregate_key, bundle.path, candidate, num_to_move)
+        trial = state.with_move(*move)
+        utility = engine.evaluate(trial.bundles()).network_utility(weights)
+        scored.append((move, utility))
+        if utility > best_utility:
+            best_utility = utility
+            best = move
+    return best, scored
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_optimizer_selects_identical_moves(name):
-    """Full runs with the batched scorer on/off: same steps, same utility."""
+def test_committed_moves_match_full_rebuild_oracle(name):
+    """Drive the optimizer loop step by step; before each ``perform_step``
+    rebuild every candidate in full and check the step commits its argmax."""
     scenario = scenario_by_name(name)
-    results = {}
-    for batched in (False, True):
-        config = replace(
-            scenario.fubar_config, max_steps=4, use_batched_scorer=batched
-        )
-        optimizer = FubarOptimizer(
-            scenario.network, scenario.traffic_matrix, config=config
-        )
-        results[batched] = optimizer.run()
-    assert results[True].network_utility == results[False].network_utility
-    assert results[True].num_steps == results[False].num_steps
+    network = scenario.network
+    config = scenario.fubar_config
+    weights = config.priority_weights
+    generator = PathGenerator(network)
+    model = TrafficModel(network)
+    engine = model.engine
+    state = AllocationState.initial(network, scenario.traffic_matrix, generator)
+    path_sets = build_path_sets(network, state)
+    result = model.evaluate(state.bundles())
 
-    def trace_of(result):
-        points = []
-        for point in result.trace:
-            as_dict = dict(point.as_dict())
-            as_dict.pop("wall_clock_s", None)  # timing may differ; moves not
-            points.append(as_dict)
-        return points
-
-    assert trace_of(results[True]) == trace_of(results[False])
+    committed = 0
+    level = 0
+    while committed < ORACLE_STEPS and result.has_congestion:
+        progress = False
+        for link_id in result.congested_links_by_oversubscription():
+            expected, scored = _full_rebuild_best_move(
+                engine, state, path_sets, generator, config, result, link_id, level
+            )
+            if scored:
+                batched = BatchedCandidateScorer(engine, result.compiled, weights).score(
+                    [state.move_delta(*move) for move, _ in scored]
+                )
+                for (move, rebuilt), score in zip(scored, batched):
+                    assert abs(score - rebuilt) <= ORACLE_TOL, (name, move)
+            step = perform_step(
+                link_id, state, path_sets, model, generator, config, result, level
+            )
+            if expected is None:
+                assert not step.progress, (name, link_id)
+                continue
+            assert step.progress, (name, link_id)
+            chosen = (
+                step.moved_aggregate, step.from_path, step.to_path, step.num_flows_moved
+            )
+            assert chosen == expected, (name, committed)
+            rebuilt_utility = dict(scored)[expected]
+            assert abs(step.utility_after - rebuilt_utility) <= ORACLE_TOL
+            state, result = step.state, step.result
+            committed += 1
+            progress = True
+            break
+        if progress:
+            level = 0
+        elif level >= config.max_escalation_level:
+            break
+        else:
+            level += 1
+    if name in ("he31", "abilene"):
+        assert committed == ORACLE_STEPS, name

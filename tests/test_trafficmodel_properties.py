@@ -7,7 +7,9 @@ The model's invariants hold for *any* workload:
 * a bundle is marked satisfied exactly when its rate equals its demand,
 * an unsatisfied bundle names a bottleneck link on its own path and that
   link is saturated,
-* total carried traffic never exceeds total demand.
+* total carried traffic never exceeds total demand,
+* the compiled utility roll-up a result reports matches the scalar
+  helpers in :mod:`repro.utility.aggregation`.
 """
 
 import numpy as np
@@ -15,10 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.recorder import OptimizationRecorder
 from repro.topology.builders import ring_topology
 from repro.trafficmodel.bundle import Bundle
+from repro.trafficmodel.compiled import CompiledBundles
 from repro.trafficmodel.waterfill import evaluate_bundles
 from repro.units import kbps, mbps
+from repro.utility.aggregation import (
+    AggregateUtility,
+    PriorityWeights,
+    class_utility,
+    network_utility,
+    per_class_utilities,
+)
 from tests.conftest import make_aggregate
 
 #: The fixed topology used for the property tests: a 6-node ring.
@@ -116,6 +127,121 @@ def test_utilities_are_in_unit_interval(bundles):
     for entry in result.aggregate_utilities():
         assert 0.0 <= entry.utility <= 1.0
     assert 0.0 <= result.network_utility() <= 1.0
+
+
+#: Priority weightings the roll-up is checked under ("class0" is always drawn).
+WEIGHTINGS = (
+    PriorityWeights.uniform(),
+    PriorityWeights.prioritize("large-transfer", 4.0),
+    PriorityWeights.prioritize("class0", 4.0),
+)
+
+
+def _other_way_round(path):
+    """The same endpoints connected the other way round the ring."""
+    source = RING_NODES.index(path[0])
+    destination = RING_NODES.index(path[-1])
+    step = 1 if path[1] == RING_NODES[(source - 1) % 6] else -1
+    nodes = [path[0]]
+    index = source
+    while index != destination:
+        index = (index + step) % 6
+        nodes.append(RING_NODES[index])
+    return tuple(nodes)
+
+
+def _split_both_ways(bundles):
+    """Split every multi-flow bundle over both ring directions, so aggregates
+    carry two bundles and the flow-weighted per-aggregate mean is exercised."""
+    split = []
+    for bundle in bundles:
+        half = bundle.num_flows // 2
+        if half == 0:
+            split.append(bundle)
+            continue
+        split.append(bundle.with_num_flows(bundle.num_flows - half))
+        split.append(
+            Bundle(
+                aggregate=bundle.aggregate,
+                path=_other_way_round(bundle.path),
+                num_flows=half,
+            )
+        )
+    return split
+
+
+def _scalar_aggregate_utilities(result):
+    """The per-bundle scalar roll-up, written out as the oracle."""
+    grouped = {}
+    for outcome in result.outcomes:
+        grouped.setdefault(outcome.bundle.aggregate_key, []).append(outcome)
+    utilities = []
+    for key, outcomes in grouped.items():
+        aggregate = outcomes[0].bundle.aggregate
+        total_flows = sum(outcome.bundle.num_flows for outcome in outcomes)
+        weighted = 0.0
+        for outcome in outcomes:
+            weighted += outcome.bundle.num_flows * aggregate.utility(
+                outcome.per_flow_rate_bps, outcome.bundle.path_delay(RING)
+            )
+        utilities.append(
+            AggregateUtility(
+                aggregate_key=key,
+                utility=min(weighted / total_flows, 1.0),
+                num_flows=total_flows,
+                traffic_class=aggregate.traffic_class,
+            )
+        )
+    return utilities
+
+
+@given(bundle_workloads(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_rollup_matches_scalar_helpers(bundles, split):
+    if split:
+        bundles = _split_both_ways(bundles)
+    result = evaluate_bundles(RING, bundles)
+    expected = _scalar_aggregate_utilities(result)
+    assert result.aggregate_utilities() == expected  # exact, in order
+    expected_classes = per_class_utilities(expected)
+    assert list(result.per_class_utilities().items()) == list(expected_classes.items())
+    for name in expected_classes:
+        assert result.class_utility(name) == class_utility(expected, name)
+    assert result.class_utility("no-such-class") is None
+    for weights in WEIGHTINGS:
+        gap = result.network_utility(weights) - network_utility(expected, weights)
+        assert abs(gap) <= 1e-12
+
+
+def test_recorder_and_network_utility_roll_up_once(monkeypatch):
+    """A result runs its roll-up kernel once, however many views are read."""
+    calls = []
+    kernel = CompiledBundles.utility_by_aggregate
+
+    def counting_kernel(self, rates):
+        calls.append(len(rates))
+        return kernel(self, rates)
+
+    monkeypatch.setattr(CompiledBundles, "utility_by_aggregate", counting_kernel)
+    bundles = [
+        Bundle(
+            aggregate=make_aggregate("N0", "N3", num_flows=40, demand_bps=mbps(1)),
+            path=("N0", "N1", "N2", "N3"),
+            num_flows=40,
+        ),
+        Bundle(
+            aggregate=make_aggregate(
+                "N1", "N2", num_flows=30, traffic_class="large-transfer"
+            ),
+            path=("N1", "N2"),
+            num_flows=30,
+        ),
+    ]
+    result = evaluate_bundles(RING, bundles)
+    assert calls == []
+    OptimizationRecorder(WEIGHTINGS[1]).record(0, result, "initial")
+    result.network_utility(WEIGHTINGS[2])
+    assert calls == [2]
 
 
 @given(bundle_workloads(), st.floats(min_value=1.5, max_value=4.0))
